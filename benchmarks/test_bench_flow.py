@@ -69,8 +69,8 @@ def test_min_cut_extraction(benchmark):
 #
 # Same instance, same seed, loop engine vs its CSR array sibling, at a size
 # below the kernels' full-scale runs so the pair fits the bench-smoke gate.
-# solve_min_cut is benchmarked (not bare max-flow) because the array path
-# also replaces the cut extraction above FLOW_ARRAY_CUTOFF.
+# solve_min_cut is benchmarked (not bare max-flow) so each pair also times
+# the CSR cut extraction that follows every solve.
 # ---------------------------------------------------------------------------
 
 _PAIR_SIZES = [512, 1024]

@@ -113,7 +113,7 @@ def a2_classify(points: PointSet, oracle: LabelOracle,
                 epsilon: float = 0.5, delta: Optional[float] = None,
                 samples_per_round: int = 32, max_rounds: int = 64,
                 rng: RngLike = None,
-                flow_backend: str = "dinic") -> A2Result:
+                flow_backend: str = "dinic_array") -> A2Result:
     """Run the A²-style learner on a hidden-label point set.
 
     Stops when every chain's version space is a single threshold, when the

@@ -30,7 +30,7 @@ class ProbeAllResult:
 
 
 def probe_all_classify(points: PointSet, oracle: LabelOracle,
-                       flow_backend: str = "dinic") -> ProbeAllResult:
+                       flow_backend: str = "dinic_array") -> ProbeAllResult:
     """Probe all ``n`` labels and return an exactly optimal classifier."""
     n = points.n
     labels = np.asarray(oracle.probe_many(range(n)), dtype=np.int8)

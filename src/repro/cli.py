@@ -89,7 +89,7 @@ def build_parser() -> argparse.ArgumentParser:
     passive = sub.add_parser("passive", help="solve Problem 2 exactly (Theorem 4)")
     passive.add_argument("input", help="point-set file (.csv or .json)")
     passive.add_argument("--backend", choices=sorted(FLOW_BACKENDS),
-                         default="dinic")
+                         default="dinic_array")
 
     active = sub.add_parser("active", help="run the Theorem 2 active algorithm")
     active.add_argument("input", help="fully-labeled point-set file (ground truth)")
@@ -132,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     fit.add_argument("artifact", help="output artifact file (.json)")
     fit.add_argument("--mode", choices=["passive", "active"], default="passive")
     fit.add_argument("--backend", choices=sorted(FLOW_BACKENDS),
-                     default="dinic", help="flow backend (passive mode)")
+                     default="dinic_array", help="flow backend (passive mode)")
     fit.add_argument("--epsilon", type=float, default=0.5,
                      help="approximation parameter (active mode)")
     fit.add_argument("--seed", type=int, default=0,
@@ -191,7 +191,7 @@ def build_parser() -> argparse.ArgumentParser:
         "audit", help="solve passively and machine-check the result")
     audit.add_argument("input", help="fully-labeled point-set file")
     audit.add_argument("--backend", choices=sorted(FLOW_BACKENDS),
-                       default="dinic")
+                       default="dinic_array")
 
     repair = sub.add_parser(
         "repair", help="minimum-weight monotone label repair (data cleaning)")

@@ -103,7 +103,7 @@ def active_classify(points: PointSet, oracle: LabelOracle, epsilon: float,
                     decomposition: str = "exact",
                     plan: Optional[SamplingPlan] = None,
                     rng: RngLike = None,
-                    flow_backend: str = "dinic",
+                    flow_backend: str = "dinic_array",
                     workers: int = 1,
                     resilience: Optional["ResilienceConfig"] = None
                     ) -> ActiveResult:

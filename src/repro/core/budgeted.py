@@ -94,7 +94,7 @@ def active_classify_budgeted(points: PointSet, oracle: LabelOracle,
                              budget: int,
                              rng: RngLike = None,
                              plan: Optional[SamplingPlan] = None,
-                             flow_backend: str = "dinic") -> BudgetedResult:
+                             flow_backend: str = "dinic_array") -> BudgetedResult:
     """Learn the best monotone classifier obtainable within ``budget`` probes.
 
     The oracle's own budget (if any) must be at least ``budget``; this

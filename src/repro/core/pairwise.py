@@ -1,4 +1,4 @@
-"""Blockwise pairwise dominance computations for large inputs.
+"""Blockwise pairwise dominance computations.
 
 The Theorem 4 pipeline needs three ``O(d n^2)``-time pairwise facts:
 
@@ -7,15 +7,17 @@ The Theorem 4 pipeline needs three ``O(d n^2)``-time pairwise facts:
 * whether a final assignment is monotone (Lemma 16's certificate).
 
 The cached ``PointSet.weak_dominance_matrix`` materializes all ``n^2``
-booleans at once — fine up to ``n`` around 15k, prohibitive beyond.  The
-functions here compute the same facts in row blocks of configurable size,
-keeping memory at ``O(n * block_size)`` while preserving the time bound.
-``solve_passive`` switches to them automatically above a size threshold.
+booleans at once.  The functions here compute the edges and the
+monotonicity check in row blocks of configurable size, keeping memory at
+``O(n * block_size)`` while preserving the time bound; the contending mask
+streams the same blocks through
+:func:`repro.poset.bitset.contending_mask_bitset`.  ``solve_passive`` runs
+these kernels at every input size.
 """
 
 from __future__ import annotations
 
-from typing import Iterator, List, Tuple
+from typing import Iterator, Tuple
 
 import numpy as np
 
@@ -24,8 +26,6 @@ from .points import PointSet
 __all__ = [
     "DEFAULT_BLOCK_SIZE",
     "pairwise_weak_dominance",
-    "blocked_contending_mask",
-    "blocked_dominance_pairs",
     "blocked_dominance_pair_arrays",
     "blocked_is_monotone_assignment",
 ]
@@ -57,72 +57,19 @@ def pairwise_weak_dominance(rows: np.ndarray, cols: np.ndarray) -> np.ndarray:
     return out
 
 
-def blocked_contending_mask(points: PointSet,
-                            block_size: int = DEFAULT_BLOCK_SIZE) -> np.ndarray:
-    """Contending mask (Section 5.1) without the full dominance matrix.
-
-    A label-0 point contends iff it weakly dominates some label-1 point;
-    a label-1 point contends iff some label-0 point weakly dominates it.
-    Computed per block of label-0 rows against all label-1 columns.
-    """
-    points.require_full_labels()
-    n = points.n
-    mask = np.zeros(n, dtype=bool)
-    if n == 0:
-        return mask
-    zero_idx = np.flatnonzero(points.labels == 0)
-    one_idx = np.flatnonzero(points.labels == 1)
-    if len(zero_idx) == 0 or len(one_idx) == 0:
-        return mask
-    one_coords = points.coords[one_idx]
-    one_hit = np.zeros(len(one_idx), dtype=bool)
-    for start, stop in _blocks(len(zero_idx), block_size):
-        rows = points.coords[zero_idx[start:stop]]
-        # dom[i, j]: zero-row i weakly dominates one-col j.
-        dom = pairwise_weak_dominance(rows, one_coords)
-        mask[zero_idx[start:stop]] = dom.any(axis=1)
-        one_hit |= dom.any(axis=0)
-    mask[one_idx] = one_hit
-    return mask
-
-
-def blocked_dominance_pairs(points: PointSet, sources: np.ndarray,
-                            targets: np.ndarray,
-                            block_size: int = DEFAULT_BLOCK_SIZE
-                            ) -> Iterator[Tuple[int, List[int]]]:
-    """Yield ``(source index, [target indices it weakly dominates])``.
-
-    Iterates blockwise over ``sources`` x ``targets`` (both arrays of point
-    indices), yielding one entry per source that dominates at least one
-    target.  This is the edge stream for the type-3 edges of the Theorem 4
-    flow network.
-    """
-    sources = np.asarray(sources, dtype=int)
-    targets = np.asarray(targets, dtype=int)
-    if len(sources) == 0 or len(targets) == 0:
-        return
-    target_coords = points.coords[targets]
-    for start, stop in _blocks(len(sources), block_size):
-        rows = points.coords[sources[start:stop]]
-        dom = pairwise_weak_dominance(rows, target_coords)
-        for local, src in enumerate(sources[start:stop]):
-            hits = np.flatnonzero(dom[local])
-            if len(hits):
-                yield int(src), targets[hits].tolist()
-
-
 def blocked_dominance_pair_arrays(points: PointSet, sources: np.ndarray,
                                   targets: np.ndarray,
                                   block_size: int = DEFAULT_BLOCK_SIZE
                                   ) -> Iterator[Tuple[np.ndarray, np.ndarray]]:
     """Yield ``(source_ids, target_ids)`` dominance-pair arrays per block.
 
-    The bulk counterpart of :func:`blocked_dominance_pairs`: instead of one
-    Python ``(source, [targets])`` entry per dominating source, each block
-    yields two aligned integer arrays listing every dominating pair in
-    row-major order (sources ascending as given, targets ascending within a
-    source) — exactly the order the per-pair generator walks, ready for
-    :meth:`repro.flow.graph.FlowNetwork.add_edges`.
+    Iterates blockwise over ``sources`` x ``targets`` (both arrays of point
+    indices).  Each block yields two aligned integer arrays listing every
+    pair where the source weakly dominates the target, in row-major order
+    (sources in the order given, targets in the order given within a
+    source), ready for :meth:`repro.flow.graph.FlowNetwork.add_edges`.
+    This is the edge stream for the type-3 edges of the Theorem 4 flow
+    network.
     """
     sources = np.asarray(sources, dtype=int)
     targets = np.asarray(targets, dtype=int)

@@ -29,17 +29,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Optional
 
 import numpy as np
 
-from ..flow import FLOW_ARRAY_CUTOFF, FlowNetwork, array_backend_for, solve_min_cut
+from ..flow import FlowNetwork, solve_min_cut
 from ..obs import recorder
-from .classifier import (
-    MonotoneClassifier,
-    UpsetClassifier,
-    is_monotone_assignment,
-)
+from .classifier import MonotoneClassifier, UpsetClassifier
 from .errors import prediction_weighted_error
 from .pairwise import (
     DEFAULT_BLOCK_SIZE,
@@ -53,13 +48,7 @@ __all__ = [
     "solve_passive",
     "contending_mask",
     "brute_force_passive",
-    "LARGE_INPUT_THRESHOLD",
 ]
-
-#: Above this size, solve_passive switches from the cached O(n^2)-memory
-#: dominance matrix to blockwise pairwise computation (same time bound,
-#: O(n * block) memory).
-LARGE_INPUT_THRESHOLD = 8_192
 
 
 def _effective_infinity(total_weight: float, min_weight: float) -> float:
@@ -129,11 +118,7 @@ class PassiveResult:
         Max-flow value = min-cut weight = optimal weighted error on
         ``P^con``.
     backend:
-        Max-flow backend actually used.  Above
-        :data:`repro.flow.FLOW_ARRAY_CUTOFF` network vertices a loop
-        backend is auto-upgraded to its array-native sibling (e.g.
-        ``"dinic"`` → ``"dinic_array"``), and the upgraded name is
-        reported here.
+        Max-flow backend that solved the min-cut instance.
     """
 
     classifier: MonotoneClassifier
@@ -145,12 +130,17 @@ class PassiveResult:
 
 
 def contending_mask(points: PointSet) -> np.ndarray:
-    """Boolean mask of contending points (Section 5.1).
+    """Boolean mask of contending points (Section 5.1), dense reference.
 
     A label-0 point contends if it weakly dominates some label-1 point; a
     label-1 point contends if some label-0 point weakly dominates it.  We
     use weak dominance so duplicate coordinate vectors with opposing labels
     contend with each other (a classifier cannot separate them).
+
+    Reads the cached ``O(n^2)`` dominance matrix, so it is the test oracle
+    for the streaming kernels :func:`solve_passive` runs
+    (:func:`repro.poset.bitset.contending_mask_bitset` and the ``d <= 2``
+    sweep), not a production path.
     """
     points.require_full_labels()
     n = points.n
@@ -192,11 +182,14 @@ def _hasse_reduced_order(points: PointSet) -> np.ndarray:
     return order
 
 
-def solve_passive(points: PointSet, backend: str = "dinic",
+def solve_passive(points: PointSet, backend: str = "dinic_array",
                   use_contending_reduction: bool = True,
-                  block_size: Optional[int] = None,
                   use_hasse_reduction: bool = False) -> PassiveResult:
     """Solve Problem 2 exactly (Theorem 4).
+
+    The contending mask, the closure edges and the monotonicity check
+    stream row blocks of :data:`~repro.core.pairwise.DEFAULT_BLOCK_SIZE`
+    points, so they run in ``O(n * block)`` memory at every input size.
 
     Parameters
     ----------
@@ -204,19 +197,12 @@ def solve_passive(points: PointSet, backend: str = "dinic",
         Fully-labeled weighted point set.
     backend:
         Max-flow backend (any key of :data:`repro.flow.FLOW_BACKENDS`).
-        Loop backends with an array-native sibling (``"dinic"``,
-        ``"push_relabel"``) are auto-upgraded to it when the min-cut
-        network reaches :data:`repro.flow.FLOW_ARRAY_CUTOFF` vertices;
-        pass the array name explicitly to force it, or a loop-only name
-        (``"edmonds_karp"``, ``"capacity_scaling"``) to avoid it.
+        The loop engines are reference implementations; the named engine
+        always runs, whatever the network size.
     use_contending_reduction:
         When False, the min-cut instance is built over *all* points instead
         of just ``P^con`` (still correct, since non-contending points have
         no infinite edges forcing them; used by the A1 ablation).
-    block_size:
-        Force blockwise pairwise computation with this row-block size.
-        Defaults to the cached dominance matrix for small inputs and to
-        blockwise mode above :data:`LARGE_INPUT_THRESHOLD` points.
     use_hasse_reduction:
         Build the network's infinite edges from the *transitive reduction*
         (Hasse covering pairs) of the dominance order over all points,
@@ -239,8 +225,7 @@ def solve_passive(points: PointSet, backend: str = "dinic",
         classifier = UpsetClassifier([], dim=max(1, points.dim))
         return PassiveResult(classifier, assignment, 0.0, 0, 0.0, backend)
 
-    blockwise = block_size is not None or n > LARGE_INPUT_THRESHOLD
-    rows_per_block = block_size or DEFAULT_BLOCK_SIZE
+    rows_per_block = DEFAULT_BLOCK_SIZE
     rec = recorder()
 
     with rec.span("passive") as passive_span:
@@ -252,14 +237,10 @@ def solve_passive(points: PointSet, backend: str = "dinic",
                     from ..poset.dominance2d import contending_mask_low_dim
 
                     mask = contending_mask_low_dim(points)
-                elif blockwise:
-                    # Packed-bitset accumulator: same blockwise streaming,
-                    # but the per-block evidence is OR-ed as bitset rows.
+                else:
                     from ..poset.bitset import contending_mask_bitset
 
                     mask = contending_mask_bitset(points, rows_per_block)
-                else:
-                    mask = contending_mask(points)
                 active = np.flatnonzero(mask)
             else:
                 active = np.arange(n)
@@ -272,7 +253,9 @@ def solve_passive(points: PointSet, backend: str = "dinic",
 
         if len(active) == 0:
             # Labeling already monotone: zero error, keep every label.
-            classifier = UpsetClassifier.from_positive_points(points, assignment)
+            with rec.span("classifier"):
+                classifier = UpsetClassifier.from_positive_points(
+                    points, assignment)
             return PassiveResult(classifier, assignment, 0.0, 0, 0.0, backend)
 
         with rec.span("build_network"):
@@ -314,32 +297,18 @@ def solve_passive(points: PointSet, backend: str = "dinic",
                 network.add_edges(2 + uppers, 2 + lowers, infinite_cap)
                 if rec.enabled:
                     rec.incr("passive.hasse_edges_kept", len(uppers))
-            elif blockwise:
+            else:
+                # Row-major over (label-0, label-1) pairs, one add_edges
+                # call per row block.
                 for srcs, tgts in blocked_dominance_pair_arrays(
                         points, zeros_arr, ones_arr, rows_per_block):
                     network.add_edges(vid[srcs], vid[tgts], infinite_cap)
-            else:
-                weak = points.weak_dominance_matrix()
-                row_pos, col_pos = np.nonzero(
-                    weak[np.ix_(zeros_arr, ones_arr)])
-                network.add_edges(vid[zeros_arr[row_pos]],
-                                  vid[ones_arr[col_pos]], infinite_cap)
         if rec.enabled:
             rec.incr("passive.dominance_pairs",
                      network.num_edges - len(active))
 
         with rec.span("min_cut"):
-            # Above the measured crossover, upgrade a loop backend to its
-            # array-native sibling (mirrors the BITSET_CUTOFF auto-select
-            # in repro.poset): same flow values, vectorized BFS sweeps.
-            effective_backend = backend
-            upgrade = array_backend_for(backend)
-            if upgrade is not None and network.num_nodes >= FLOW_ARRAY_CUTOFF:
-                effective_backend = upgrade
-                if rec.enabled:
-                    rec.incr("passive.array_backend_upgrades")
-            cut = solve_min_cut(network, source, sink,
-                                backend=effective_backend)
+            cut = solve_min_cut(network, source, sink, backend=backend)
 
         with rec.span("verify"):
             # Cut source edges flip label-0 points to 1; a source edge
@@ -354,12 +323,8 @@ def solve_passive(points: PointSet, backend: str = "dinic",
                 if int(vid[q]) in cut.source_side:
                     assignment[q] = 0
 
-            if blockwise:
-                assignment_monotone = blocked_is_monotone_assignment(
-                    points, assignment, rows_per_block)
-            else:
-                assignment_monotone = is_monotone_assignment(points, assignment)
-            if not assignment_monotone:
+            if not blocked_is_monotone_assignment(points, assignment,
+                                                  rows_per_block):
                 raise AssertionError(
                     "min-cut produced a non-monotone assignment (Lemma 16 "
                     "violated); this indicates a solver bug"
@@ -377,14 +342,16 @@ def solve_passive(points: PointSet, backend: str = "dinic",
             rec.gauge("passive.flow_value", float(cut.value))
             rec.gauge("passive.optimal_error", float(optimal_error))
 
-        classifier = UpsetClassifier.from_positive_points(points, assignment)
+        with rec.span("classifier"):
+            classifier = UpsetClassifier.from_positive_points(points,
+                                                              assignment)
         return PassiveResult(
             classifier=classifier,
             assignment=assignment,
             optimal_error=float(optimal_error),
             num_contending=len(active),
             flow_value=float(cut.value),
-            backend=effective_backend,
+            backend=backend,
         )
 
 

@@ -115,7 +115,7 @@ class HoldoutReport:
 
 def holdout_evaluation(points: PointSet, test_fraction: float = 0.25,
                        rng: RngLike = None,
-                       flow_backend: str = "dinic") -> HoldoutReport:
+                       flow_backend: str = "dinic_array") -> HoldoutReport:
     """Fit the exact passive solver on a train split, score both splits.
 
     The monotone extension (:class:`~repro.core.classifier.UpsetClassifier`)
@@ -135,7 +135,7 @@ def holdout_evaluation(points: PointSet, test_fraction: float = 0.25,
 
 def cross_validate(points: PointSet, folds: int = 5,
                    rng: RngLike = None,
-                   flow_backend: str = "dinic") -> List[Dict[str, float]]:
+                   flow_backend: str = "dinic_array") -> List[Dict[str, float]]:
     """k-fold evaluation: one row of held-out metrics per fold."""
     if folds < 2:
         raise ValueError(f"folds must be >= 2; got {folds}")

@@ -23,7 +23,7 @@ __all__ = ["run", "TITLE"]
 
 def run(ns: Sequence[int] = (100, 200, 400, 800, 1600),
         ds: Sequence[int] = (1, 2, 4, 8),
-        noise: float = 0.1, backend: str = "dinic",
+        noise: float = 0.1, backend: str = "dinic_array",
         seed: int = 0) -> List[dict]:
     """Time the Theorem 4 solver across input sizes and dimensionalities."""
     rows: List[dict] = []

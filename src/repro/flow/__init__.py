@@ -9,20 +9,17 @@ cut-edge set (Lemmas 7 and 8).  Everything is implemented from scratch:
 * :mod:`.dinic` — Dinic's algorithm (``O(V^2 E)``, fast in practice);
 * :mod:`.push_relabel` — Goldberg–Tarjan FIFO push-relabel with the gap
   heuristic, the ``O(V^3)`` algorithm the paper cites [14];
-* :mod:`.array` — array-native siblings of both production backends over
-  a frozen CSR snapshot (vectorized frontier BFS for Dinic; global
-  relabeling for push-relabel), auto-selected by ``solve_passive`` above
-  :data:`~repro.flow.array.FLOW_ARRAY_CUTOFF` vertices;
+* :mod:`.array` — array-native siblings of both loop engines over a
+  frozen CSR snapshot (vectorized frontier BFS for Dinic; global
+  relabeling for push-relabel).  ``dinic_array`` is the default backend
+  everywhere; the loop engines run only when named explicitly;
 * :mod:`.mincut` — source-side cut extraction and cut-edge sets (Lemma 8).
 
 A ``networkx`` backend is available for cross-checking in tests.
 """
 
 from .array import (
-    ARRAY_UPGRADES,
-    FLOW_ARRAY_CUTOFF,
     CSRFlowSnapshot,
-    array_backend_for,
     dinic_array_max_flow,
     push_relabel_array_max_flow,
 )
@@ -44,9 +41,6 @@ __all__ = [
     "CSRFlowSnapshot",
     "dinic_array_max_flow",
     "push_relabel_array_max_flow",
-    "FLOW_ARRAY_CUTOFF",
-    "ARRAY_UPGRADES",
-    "array_backend_for",
     "MinCut",
     "min_cut_from_residual",
     "solve_min_cut",
@@ -56,7 +50,7 @@ __all__ = [
 
 
 def solve_max_flow(network: FlowNetwork, source: int, sink: int,
-                   backend: str = "dinic") -> float:
+                   backend: str = "dinic_array") -> float:
     """Run the selected max-flow backend on ``network`` in place.
 
     Returns the maximum flow value; the network's internal flow state is

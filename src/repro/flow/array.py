@@ -32,16 +32,15 @@ their results back into the mutable network, so
 :func:`~repro.flow.mincut.min_cut_from_residual` reads the residual graph
 exactly as it would after a loop-engine run.
 
-``solve_passive`` auto-selects the array engines above
-:data:`FLOW_ARRAY_CUTOFF` network vertices (mirroring
-``repro.poset.bitset.BITSET_CUTOFF``); see ``docs/algorithms.md`` for the
-measured crossover.
+``dinic_array`` is the default engine of ``solve_passive`` and
+``solve_max_flow`` at every network size; the loop engines remain
+selectable by name as reference implementations.
 """
 
 from __future__ import annotations
 
 from itertools import chain
-from typing import Dict, List, Optional, Tuple
+from typing import List
 
 import numpy as np
 
@@ -52,26 +51,9 @@ __all__ = [
     "CSRFlowSnapshot",
     "dinic_array_max_flow",
     "push_relabel_array_max_flow",
-    "FLOW_ARRAY_CUTOFF",
-    "ARRAY_UPGRADES",
-    "array_backend_for",
 ]
 
 _EPS = RESIDUAL_EPS
-
-#: Network-vertex count above which ``solve_passive`` upgrades a loop
-#: backend to its array sibling.  Measured on passive-reduction networks
-#: (min_cut span, best of 3): the array engines are neutral at ~176
-#: vertices (0.94x/1.04x for dinic/push-relabel) and win from ~355
-#: (1.4x/2.4x), with the gap growing with size (2.1x/1.9x at ~1860,
-#: 3.8x/5.7x flow-span at ~15k); see BENCH_flow_solvers.json.
-FLOW_ARRAY_CUTOFF = 256
-
-#: Loop backend -> array sibling used by the ``solve_passive`` auto-upgrade.
-ARRAY_UPGRADES: Dict[str, str] = {
-    "dinic": "dinic_array",
-    "push_relabel": "push_relabel_array",
-}
 
 #: Relabels between global-relabeling sweeps in ``push_relabel_array``,
 #: as a fraction of the vertex count.  The vectorized backward BFS makes
@@ -82,11 +64,6 @@ ARRAY_UPGRADES: Dict[str, str] = {
 #: 1/32 (1.36 s, 2.4 k relabels) and climbs again by 1/128 (1.72 s,
 #: 24 sweeps) as sweep cost overtakes the relabels saved.
 GLOBAL_RELABEL_INTERVAL_SCALE = 0.03125
-
-
-def array_backend_for(backend: str) -> Optional[str]:
-    """Array sibling of a loop backend, or ``None`` when there is none."""
-    return ARRAY_UPGRADES.get(backend)
 
 
 class CSRFlowSnapshot:

@@ -278,9 +278,9 @@ def contending_mask_bitset(points: PointSet,
     dominance panel, and accumulates the "some label-0 point dominates
     label-1 ``q``" evidence as a single packed OR row — ``O(block * m1)``
     boolean scratch and ``m1 / 8`` bytes of accumulator for ``m1`` label-1
-    points.  Bit-identical to
-    :func:`repro.core.passive.contending_mask` and
-    :func:`repro.core.pairwise.blocked_contending_mask`.
+    points.  Bit-identical to the dense reference
+    :func:`repro.core.passive.contending_mask`; this is the kernel
+    ``solve_passive`` runs for ``d >= 3``.
     """
     points.require_full_labels()
     n = points.n

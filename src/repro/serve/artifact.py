@@ -313,7 +313,7 @@ def fit_artifact(
     *,
     epsilon: float = 0.5,
     seed: int = 0,
-    backend: str = "dinic",
+    backend: str = "dinic_array",
     decomposition: str = "exact",
     include_chains: bool = True,
     include_certificate: bool = True,

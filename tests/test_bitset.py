@@ -20,12 +20,12 @@ from hypothesis import given, settings
 
 import repro.poset.bitset as bitset_mod
 from repro import PointSet
-from repro.core.pairwise import (
-    blocked_contending_mask,
-    blocked_dominance_pair_arrays,
-    blocked_dominance_pairs,
+from repro.core.pairwise import blocked_dominance_pair_arrays
+from repro.core.passive import (
+    brute_force_passive,
+    contending_mask,
+    solve_passive,
 )
-from repro.core.passive import contending_mask, solve_passive
 from repro.flow import FlowNetwork
 from repro.poset import (
     heights,
@@ -117,10 +117,10 @@ class TestConsumerParity:
     @given(ps=point_sets(max_n=24))
     def test_contending_mask_parity(self, ps):
         dense = contending_mask(_fresh(ps))
-        blocked = blocked_contending_mask(_fresh(ps), block_size=5)
         packed = contending_mask_bitset(ps, block_size=5)
+        single_block = contending_mask_bitset(_fresh(ps))
         assert np.array_equal(packed, dense)
-        assert np.array_equal(packed, blocked)
+        assert np.array_equal(packed, single_block)
 
     @settings(max_examples=40, deadline=None)
     @given(ps=point_sets(max_n=20))
@@ -219,9 +219,10 @@ class TestFlowConstructionParity:
     def test_pair_arrays_match_pair_generator(self, ps):
         src = np.flatnonzero(ps.labels == 0)
         tgt = np.flatnonzero(ps.labels == 1)
-        reference = [(s, t)
-                     for s, ts in blocked_dominance_pairs(ps, src, tgt, 5)
-                     for t in ts]
+        weak = _fresh(ps).weak_dominance_matrix()
+        # Reference pair generator: row-major walk of the dense matrix.
+        reference = [(int(s), int(t)) for s in src for t in tgt
+                     if weak[s, t]]
         bulk = [(int(s), int(t))
                 for ss, ts in blocked_dominance_pair_arrays(ps, src, tgt, 5)
                 for s, t in zip(ss, ts)]
@@ -230,9 +231,12 @@ class TestFlowConstructionParity:
     @settings(max_examples=25, deadline=None)
     @given(ps=point_sets(max_n=14))
     def test_solve_passive_paths_agree(self, ps):
-        dense = solve_passive(_fresh(ps))
-        blockwise = solve_passive(_fresh(ps), block_size=4)
+        single_block = solve_passive(_fresh(ps))
+        with mock.patch("repro.core.passive.DEFAULT_BLOCK_SIZE", 4):
+            blockwise = solve_passive(_fresh(ps))
         hasse = solve_passive(_fresh(ps), use_hasse_reduction=True)
-        assert blockwise.optimal_error == dense.optimal_error
-        assert hasse.optimal_error == dense.optimal_error
-        assert np.array_equal(blockwise.assignment, dense.assignment)
+        assert blockwise.optimal_error == single_block.optimal_error
+        assert np.array_equal(blockwise.assignment, single_block.assignment)
+        assert hasse.optimal_error == single_block.optimal_error
+        assert single_block.optimal_error == pytest.approx(
+            brute_force_passive(_fresh(ps)), rel=1e-9, abs=1e-12)

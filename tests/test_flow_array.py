@@ -2,27 +2,33 @@
 
 Covers the CSR snapshot contract, bit-identity of ``dinic_array`` with
 the loop engine, the six-backend solver-equivalence suite (random and
-epsilon-boundary instances plus the replayable corpus), and the
-``solve_passive`` auto-upgrade above ``FLOW_ARRAY_CUTOFF``.
+epsilon-boundary instances plus the replayable corpus), the CSR cut
+extraction against a scalar reference BFS, and explicit backend
+selection in ``solve_passive``.
 """
 
 from __future__ import annotations
+
+from collections import deque
+from typing import Set
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 
 from repro.core.passive import solve_passive
+from repro.datasets.synthetic import planted_monotone
 from repro.experiments.flow_backends import random_flow_network
 from repro.flow import (
-    ARRAY_UPGRADES,
     FLOW_BACKENDS,
     RESIDUAL_EPS,
     CSRFlowSnapshot,
     FlowNetwork,
-    array_backend_for,
+    MinCut,
     dinic_array_max_flow,
     dinic_max_flow,
+    has_residual,
+    min_cut_from_residual,
     push_relabel_array_max_flow,
     solve_max_flow,
     solve_min_cut,
@@ -32,6 +38,35 @@ from repro.obs import metrics_session
 from tests.strategies import boundary_flow_networks, flow_networks
 
 CORPUS_DIR = "tests/corpus"
+
+
+def _scalar_min_cut(network: FlowNetwork, source: int, sink: int,
+                    flow_value: float) -> MinCut:
+    """Reference cut extraction: breadth-first search over adjacency lists.
+
+    Walks the mutable network arc by arc with the shared
+    :func:`~repro.flow.has_residual` admissibility test, sharing no code
+    with the CSR sweeps of :func:`~repro.flow.min_cut_from_residual`.
+    """
+    reachable: Set[int] = {source}
+    queue: deque = deque([source])
+    while queue:
+        u = queue.popleft()
+        for arc in network.adjacency[u]:
+            v = network.heads[arc]
+            if v not in reachable and has_residual(network.residual(arc)):
+                reachable.add(v)
+                queue.append(v)
+    if sink in reachable:
+        raise AssertionError("sink reachable in residual graph: flow is not maximum")
+    cut_arcs = [
+        arc_id
+        for arc_id, arc in network.forward_arcs()
+        if arc.tail in reachable and arc.head not in reachable
+        and arc.capacity > 0.0
+        and not has_residual(arc.capacity - arc.flow)
+    ]
+    return MinCut(flow_value, reachable, cut_arcs)
 
 
 def _clone(network: FlowNetwork) -> FlowNetwork:
@@ -259,66 +294,85 @@ class TestSolverEquivalence:
 
 
 class TestArrayMinCutExtraction:
-    """The CSR fast path of min_cut_from_residual matches the scalar path."""
+    """min_cut_from_residual matches the scalar reference BFS."""
 
-    def test_identical_to_scalar_path(self, monkeypatch):
-        from repro.flow.mincut import (
-            _min_cut_from_residual_array,
-            min_cut_from_residual,
-        )
+    @staticmethod
+    def _assert_identical(net, source, sink, value):
+        reference = _scalar_min_cut(net, source, sink, value)
+        fast = min_cut_from_residual(net, source, sink, value)
+        assert fast.source_side == reference.source_side
+        assert fast.cut_arcs == reference.cut_arcs
+        assert fast.value == reference.value
 
+    def test_identical_to_scalar_path(self):
         for seed in range(10):
             net = random_flow_network(25, 0.25, seed=seed)
             value = dinic_max_flow(net, 0, 24)
-            scalar = min_cut_from_residual(net, 0, 24, value)
-            fast = _min_cut_from_residual_array(net, 0, 24, value)
-            assert fast.source_side == scalar.source_side
-            assert fast.cut_arcs == scalar.cut_arcs
-            assert fast.value == scalar.value
+            self._assert_identical(net, 0, 24, value)
+
+    @settings(max_examples=40, deadline=None)
+    @given(flow_networks())
+    def test_identical_on_generated_networks(self, case):
+        network, source, sink = case
+        value = dinic_array_max_flow(network, source, sink)
+        self._assert_identical(network, source, sink, value)
+
+    @settings(max_examples=25, deadline=None)
+    @given(boundary_flow_networks())
+    def test_identical_at_epsilon_boundary(self, case):
+        network, source, sink = case
+        value = dinic_array_max_flow(network, source, sink)
+        self._assert_identical(network, source, sink, value)
 
     def test_rejects_non_max_flow(self):
-        from repro.flow.mincut import _min_cut_from_residual_array
-
         net = random_flow_network(10, 0.5, seed=3)  # zero flow
         with pytest.raises(AssertionError):
-            _min_cut_from_residual_array(net, 0, 9, 0.0)
+            min_cut_from_residual(net, 0, 9, 0.0)
+        with pytest.raises(AssertionError):
+            _scalar_min_cut(net, 0, 9, 0.0)
 
 
-class TestAutoUpgrade:
-    def test_array_backend_for_mapping(self):
-        assert array_backend_for("dinic") == "dinic_array"
-        assert array_backend_for("push_relabel") == "push_relabel_array"
-        assert array_backend_for("edmonds_karp") is None
-        assert array_backend_for("dinic_array") is None
-        assert set(ARRAY_UPGRADES.values()) <= set(FLOW_BACKENDS)
+class TestExplicitBackend:
+    """``solve_passive`` runs the named backend at every network size."""
 
-    def _points(self):
-        rng = np.random.default_rng(11)
+    @staticmethod
+    def _points():
+        # 331 contending points: a 333-vertex network.
+        return planted_monotone(400, 3, noise=0.3, rng=5, weights="random")
+
+    def test_loop_dinic_runs_loop_engine(self):
+        points = self._points()
+        with metrics_session() as reg:
+            loop = solve_passive(points, backend="dinic")
+        assert reg.gauge_value("flow.network.nodes") >= 256
+        assert loop.backend == "dinic"
+        assert reg.counter_value("flow.dinic.calls") == 1
+        assert reg.counter_value("flow.dinic_array.calls") == 0
+        array = solve_passive(points, backend="dinic_array")
+        # Bit-identical engines: identical flow, error, labels and anchors.
+        assert array.flow_value == loop.flow_value
+        assert array.optimal_error == loop.optimal_error
+        assert np.array_equal(array.assignment, loop.assignment)
+        assert np.array_equal(array.classifier.anchors,
+                              loop.classifier.anchors)
+
+    def test_every_backend_reported_as_named(self):
+        points = self._points()
+        for backend in sorted(FLOW_BACKENDS):
+            with metrics_session() as reg:
+                result = solve_passive(points, backend=backend)
+            assert result.backend == backend
+            assert reg.counter_value(f"flow.{backend}.calls") == 1
+
+    def test_default_is_dinic_array_at_every_size(self):
         from repro import PointSet
 
-        coords = rng.random((40, 2))
-        labels = (coords.sum(axis=1) + rng.normal(0, 0.3, 40) > 1.0)
-        return PointSet(coords, labels.astype(int).tolist())
-
-    def test_upgrade_above_cutoff(self, monkeypatch):
-        points = self._points()
-        baseline = solve_passive(points, backend="dinic")
-        assert baseline.backend == "dinic"
-        monkeypatch.setattr("repro.core.passive.FLOW_ARRAY_CUTOFF", 2)
-        with metrics_session() as reg:
-            upgraded = solve_passive(points, backend="dinic")
-        assert upgraded.backend == "dinic_array"
-        assert reg.counters["passive.array_backend_upgrades"].value == 1
-        # Bit-identical engine: identical error, flow value and labels.
-        assert upgraded.optimal_error == baseline.optimal_error
-        assert upgraded.flow_value == baseline.flow_value
-        assert (upgraded.assignment == baseline.assignment).all()
-
-    def test_no_upgrade_for_non_loop_backends(self, monkeypatch):
-        points = self._points()
-        monkeypatch.setattr("repro.core.passive.FLOW_ARRAY_CUTOFF", 2)
-        result = solve_passive(points, backend="edmonds_karp")
-        assert result.backend == "edmonds_karp"
+        tiny = PointSet([(0.0, 0.0), (1.0, 1.0)], [1, 0])  # 4 vertices
+        for points in (tiny, self._points()):
+            with metrics_session() as reg:
+                result = solve_passive(points)
+            assert result.backend == "dinic_array"
+            assert reg.counter_value("flow.dinic_array.calls") == 1
 
     def test_explicit_array_backend_accepted(self):
         points = self._points()

@@ -134,7 +134,7 @@ class TestConsistencyAcrossSolvers:
     """The same instance through every solver family must agree."""
 
     @pytest.mark.parametrize("seed", range(5))
-    def test_passive_agreement_matrix(self, seed):
+    def test_passive_agreement_matrix(self, seed, monkeypatch):
         points = planted_monotone(120, 2, noise=0.2, rng=seed, weights="random")
         answers = {
             "dinic": solve_passive(points, backend="dinic").optimal_error,
@@ -142,10 +142,14 @@ class TestConsistencyAcrossSolvers:
                                           backend="push_relabel").optimal_error,
             "edmonds_karp": solve_passive(points,
                                           backend="edmonds_karp").optimal_error,
-            "blockwise": solve_passive(points, block_size=16).optimal_error,
+            "hasse": solve_passive(
+                points, use_hasse_reduction=True).optimal_error,
             "no_reduction": solve_passive(
                 points, use_contending_reduction=False).optimal_error,
         }
+        # Several row blocks instead of one.
+        monkeypatch.setattr("repro.core.passive.DEFAULT_BLOCK_SIZE", 16)
+        answers["blockwise"] = solve_passive(points).optimal_error
         reference = answers["dinic"]
         for name, value in answers.items():
             assert value == pytest.approx(reference), name

@@ -13,7 +13,7 @@ import json
 import pytest
 
 from repro import LabelOracle, active_classify, obs, solve_passive
-from repro.datasets.synthetic import width_controlled
+from repro.datasets.synthetic import planted_monotone, width_controlled
 from repro.obs import (
     Counter,
     Gauge,
@@ -373,7 +373,7 @@ class TestPipelineIntegration:
             result = solve_passive(points)
         assert reg.gauge_value("passive.num_contending") == result.num_contending
         assert reg.gauge_value("passive.optimal_error") == result.optimal_error
-        assert reg.counter_value("flow.dinic.calls") == 1
+        assert reg.counter_value("flow.dinic_array.calls") == 1
 
     def test_disabled_path_records_nothing(self):
         probe = MetricsRegistry("probe")
@@ -384,6 +384,22 @@ class TestPipelineIntegration:
         with metrics_session(probe):
             pass  # pipeline ran OUTSIDE any session
         assert not probe.counters and not probe.spans
+
+
+class TestSpanCoverage:
+    """Every stage of ``solve_passive`` runs inside a child span."""
+
+    @pytest.mark.parametrize("dim", [3, 2])
+    def test_passive_children_cover_parent(self, dim):
+        points = planted_monotone(2048, dim, noise=0.1, rng=3,
+                                  weights="random")
+        with metrics_session() as reg:
+            solve_passive(points)
+        spans = reg.snapshot()["spans"]
+        children = {path: hist["total"] for path, hist in spans.items()
+                    if path.rpartition("/")[0] == "passive"}
+        assert "passive/classifier" in children
+        assert sum(children.values()) >= 0.95 * spans["passive"]["total"]
 
 
 class TestDeterminism:

@@ -1,4 +1,11 @@
-"""Tests for blockwise pairwise computations (repro.core.pairwise)."""
+"""Tests for the blockwise pairwise kernels ``solve_passive`` runs.
+
+The streaming kernels (:mod:`repro.core.pairwise` and the packed
+contending mask of :mod:`repro.poset.bitset`) are checked against the
+dense references: :func:`repro.core.passive.contending_mask`, the cached
+dominance matrix, :func:`repro.is_monotone_assignment`, and, for whole
+solves, the Hasse-reduced network.
+"""
 
 from __future__ import annotations
 
@@ -9,12 +16,12 @@ from hypothesis import strategies as st
 
 from repro import PointSet, is_monotone_assignment, solve_passive
 from repro.core.pairwise import (
-    blocked_contending_mask,
-    blocked_dominance_pairs,
+    blocked_dominance_pair_arrays,
     blocked_is_monotone_assignment,
 )
 from repro.core.passive import contending_mask
 from repro.datasets.synthetic import planted_monotone
+from repro.poset.bitset import contending_mask_bitset
 
 
 def _random_labeled(seed: int, n: int, dim: int, grid: int = 5) -> PointSet:
@@ -29,18 +36,18 @@ class TestBlockedContendingMask:
     def test_matches_matrix_version(self, block_size):
         for seed in range(10):
             ps = _random_labeled(seed, 40, 2)
-            assert (blocked_contending_mask(ps, block_size)
+            assert (contending_mask_bitset(ps, block_size)
                     == contending_mask(ps)).all()
 
     def test_empty_and_single_class(self):
         empty = PointSet.from_points([])
-        assert blocked_contending_mask(empty).shape == (0,)
+        assert contending_mask_bitset(empty).shape == (0,)
         ones = PointSet([(0.0,), (1.0,)], [1, 1])
-        assert not blocked_contending_mask(ones).any()
+        assert not contending_mask_bitset(ones).any()
 
     def test_requires_labels(self, tiny_2d):
         with pytest.raises(ValueError):
-            blocked_contending_mask(tiny_2d.with_hidden_labels())
+            contending_mask_bitset(tiny_2d.with_hidden_labels())
 
 
 class TestBlockedDominancePairs:
@@ -49,15 +56,20 @@ class TestBlockedDominancePairs:
         weak = ps.weak_dominance_matrix()
         zeros = np.flatnonzero(ps.labels == 0)
         ones = np.flatnonzero(ps.labels == 1)
-        got = {src: set(hits)
-               for src, hits in blocked_dominance_pairs(ps, zeros, ones, 4)}
-        for p in zeros:
-            expected = {int(q) for q in ones if weak[p, q]}
-            assert got.get(int(p), set()) == expected
+        got = [(int(s), int(t))
+               for srcs, tgts in blocked_dominance_pair_arrays(ps, zeros,
+                                                               ones, 4)
+               for s, t in zip(srcs, tgts)]
+        # Row-major over (label-0, label-1): the dense nonzero order.
+        expected = [(int(p), int(q)) for p in zeros for q in ones
+                    if weak[p, q]]
+        assert got == expected
 
     def test_empty_sides(self, tiny_2d):
-        assert list(blocked_dominance_pairs(tiny_2d, np.array([]), np.array([0]))) == []
-        assert list(blocked_dominance_pairs(tiny_2d, np.array([0]), np.array([]))) == []
+        assert list(blocked_dominance_pair_arrays(
+            tiny_2d, np.array([]), np.array([0]))) == []
+        assert list(blocked_dominance_pair_arrays(
+            tiny_2d, np.array([0]), np.array([]))) == []
 
 
 class TestBlockedMonotoneCheck:
@@ -80,32 +92,41 @@ class TestBlockedMonotoneCheck:
 
 
 class TestSolvePassiveBlockwise:
-    def test_forced_blockwise_matches_default(self):
+    """Multi-block solves, forced by shrinking the row-block size."""
+
+    def test_forced_blockwise_matches_default(self, monkeypatch):
         ps = planted_monotone(400, 3, noise=0.15, rng=7, weights="random")
-        default = solve_passive(ps)
-        blocked = solve_passive(ps, block_size=37)
-        assert blocked.optimal_error == pytest.approx(default.optimal_error)
-        assert blocked.num_contending == default.num_contending
-        assert (blocked.assignment == default.assignment).all()
+        single_block = solve_passive(ps)
+        hasse = solve_passive(ps, use_hasse_reduction=True)
+        monkeypatch.setattr("repro.core.passive.DEFAULT_BLOCK_SIZE", 37)
+        blocked = solve_passive(ps)
+        # Block size never changes the network: bit-identical output.
+        assert blocked.optimal_error == single_block.optimal_error
+        assert blocked.flow_value == single_block.flow_value
+        assert (blocked.assignment == single_block.assignment).all()
+        assert blocked.num_contending == int(contending_mask(ps).sum())
+        assert blocked.optimal_error == pytest.approx(hasse.optimal_error)
 
-    def test_blockwise_with_push_relabel(self):
+    def test_blockwise_with_push_relabel(self, monkeypatch):
         ps = planted_monotone(200, 2, noise=0.2, rng=8)
-        a = solve_passive(ps, block_size=16, backend="push_relabel")
-        b = solve_passive(ps)
-        assert a.optimal_error == pytest.approx(b.optimal_error)
+        hasse = solve_passive(ps, use_hasse_reduction=True)
+        monkeypatch.setattr("repro.core.passive.DEFAULT_BLOCK_SIZE", 16)
+        a = solve_passive(ps, backend="push_relabel")
+        assert a.optimal_error == pytest.approx(hasse.optimal_error)
 
-    def test_blockwise_without_reduction(self):
+    def test_blockwise_without_reduction(self, monkeypatch):
         ps = planted_monotone(150, 2, noise=0.2, rng=9)
-        a = solve_passive(ps, block_size=10, use_contending_reduction=False)
-        b = solve_passive(ps)
-        assert a.optimal_error == pytest.approx(b.optimal_error)
+        hasse = solve_passive(ps, use_hasse_reduction=True)
+        monkeypatch.setattr("repro.core.passive.DEFAULT_BLOCK_SIZE", 10)
+        a = solve_passive(ps, use_contending_reduction=False)
+        assert a.optimal_error == pytest.approx(hasse.optimal_error)
 
 
 @settings(max_examples=40, deadline=None)
 @given(st.integers(1, 25), st.integers(1, 3), st.integers(1, 7),
        st.integers(0, 10_000))
 def test_blocked_mask_equals_matrix_mask(n, dim, block_size, seed):
-    """Property: blockwise and matrix contending masks always agree."""
+    """Property: packed blockwise and dense contending masks always agree."""
     ps = _random_labeled(seed, n, dim)
-    assert (blocked_contending_mask(ps, block_size)
+    assert (contending_mask_bitset(ps, block_size)
             == contending_mask(ps)).all()

@@ -193,6 +193,22 @@ def test_hasse_reduction_equals_default_path(n, dim, seed):
         pytest.approx(hasse.optimal_error)
 
 
+class TestDominanceMemory:
+    """The closure network streams row blocks; no dense matrix is cached."""
+
+    @pytest.mark.parametrize("dim", [1, 2, 3])
+    @pytest.mark.parametrize("reduce", [True, False])
+    def test_no_dense_dominance_matrix(self, dim, reduce):
+        data = planted_monotone(300, dim, noise=0.2, rng=4, weights="random")
+        ps = PointSet(data.coords.copy(), data.labels.copy(),
+                      data.weights.copy())
+        result = solve_passive(ps, use_contending_reduction=reduce,
+                               use_hasse_reduction=False)
+        assert result.optimal_error > 0
+        assert ps._weak_dom is None
+        assert ps._order is None
+
+
 class TestHasseReduction:
     def test_opposing_duplicates(self):
         """Equal coordinate vectors with labels (0, 1) must cost one flip.
