@@ -18,7 +18,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro import PointSet
+from repro import PointSet, UpsetClassifier
 from repro.datasets.synthetic import width_controlled
 from repro.flow import FlowNetwork
 from repro.poset.bitset import (
@@ -135,3 +135,33 @@ def test_kernel_flow_build_bulk(benchmark, n):
 
     network = benchmark(job)
     benchmark.extra_info["edges"] = network.num_edges
+
+
+ANCHOR_COUNTS = [10, 100, 1000, 5000]
+ANCHOR_BATCH = 512
+
+
+def _antichain(gen: np.random.Generator, size: int) -> np.ndarray:
+    """``size`` pairwise-incomparable 3-D points (on ``x + y + z == 1.5``)."""
+    free = gen.random((size, 2))
+    return np.column_stack([free, 1.5 - free.sum(axis=1)])
+
+
+@pytest.mark.parametrize("anchors", ANCHOR_COUNTS)
+def test_kernel_classify_matrix(benchmark, anchors):
+    """Anchor-index serving: one 512-point batch against an antichain."""
+    gen = np.random.default_rng(anchors)
+    classifier = UpsetClassifier(_antichain(gen, anchors))
+    batch = gen.uniform(0.0, 1.5, size=(ANCHOR_BATCH, 3))
+    labels = benchmark(classifier.classify_matrix, batch)
+    benchmark.extra_info["anchors"] = classifier.num_anchors
+    benchmark.extra_info["ones"] = int(labels.sum())
+
+
+def test_kernel_from_positive_points(benchmark):
+    """Anchor pruning: 4320 1-points in 3-D, 323 of them minimal."""
+    points = _points(5500)
+    ones = (points.coords.sum(axis=1) > 1.1).astype(np.int8)
+    classifier = benchmark(UpsetClassifier.from_positive_points, points, ones)
+    benchmark.extra_info["ones"] = int(ones.sum())
+    benchmark.extra_info["anchors"] = classifier.num_anchors

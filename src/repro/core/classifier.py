@@ -24,6 +24,8 @@ from typing import Iterable, Optional, Sequence
 import numpy as np
 
 from .._util import as_float_matrix
+from .anchor_index import AnchorIndex
+from .pairwise import blocked_is_monotone_assignment
 from .points import PointSet
 
 __all__ = [
@@ -122,19 +124,30 @@ class UpsetClassifier(MonotoneClassifier):
     all-0 classifier.
 
     Anchors that dominate another anchor are redundant and pruned at
-    construction, so ``anchors`` always stores a minimal antichain.
+    construction, so ``anchors`` always stores a minimal antichain (in
+    lexicographic order).  Pruning and classification both run on a packed
+    :class:`~repro.core.anchor_index.AnchorIndex`, built once here, so the
+    classifier stays immutable and safe to share between threads.
     """
 
     def __init__(self, anchors: Iterable[Sequence[float]], dim: Optional[int] = None) -> None:
-        rows = [tuple(a) for a in anchors]
-        if rows:
+        if isinstance(anchors, np.ndarray):
+            rows = anchors
+        else:
+            rows = [tuple(a) for a in anchors]
+        if len(rows):
             matrix = as_float_matrix(rows)
         else:
             if dim is None:
                 raise ValueError("dim is required when constructing with no anchors")
             matrix = np.empty((0, dim), dtype=float)
-        self.anchors = _prune_dominated_anchors(matrix)
+        # Keep the minimal distinct rows, in np.unique's lexicographic order.
+        unique = np.unique(matrix, axis=0)
+        index = AnchorIndex(unique)
+        redundant = index.redundant()
+        self.anchors = unique[~redundant]
         self.anchors.setflags(write=False)
+        self._index = AnchorIndex(self.anchors) if redundant.any() else index
 
     @classmethod
     def from_positive_points(cls, points: PointSet,
@@ -159,8 +172,10 @@ class UpsetClassifier(MonotoneClassifier):
                 f"dimension mismatch: points have d={coords.shape[1]}, "
                 f"anchors have d={self.anchors.shape[1]}"
             )
-        dominated = np.all(coords[:, None, :] >= self.anchors[None, :, :], axis=2)
-        return np.any(dominated, axis=1).astype(np.int8)
+        if coords.shape[0] == 1:
+            # Serving lookups: the scalar walk skips numpy's per-call cost.
+            return np.array([self._index.hit_one(coords[0].tolist())], dtype=np.int8)
+        return self._index.hits(coords).astype(np.int8)
 
     @property
     def num_anchors(self) -> int:
@@ -213,40 +228,13 @@ class UnionClassifier(_CompositeClassifier):
         return out
 
 
-def _prune_dominated_anchors(matrix: np.ndarray) -> np.ndarray:
-    """Keep only minimal anchors (drop any anchor that dominates another).
-
-    If anchor ``a`` weakly dominates anchor ``b`` then the upset of ``b``
-    contains the upset of ``a``, so ``a`` is redundant.  Duplicate rows are
-    collapsed to a single representative.
-    """
-    m = matrix.shape[0]
-    if m <= 1:
-        return matrix.copy()
-    unique = np.unique(matrix, axis=0)
-    m = unique.shape[0]
-    weak = np.all(unique[:, None, :] >= unique[None, :, :], axis=2)
-    np.fill_diagonal(weak, False)
-    # Row i is redundant if it weakly dominates some other (distinct) row.
-    redundant = np.any(weak, axis=1)
-    return unique[~redundant].copy()
-
-
 def is_monotone_assignment(points: PointSet, predictions: Sequence[int]) -> bool:
     """Whether an assignment on a finite point set respects monotonicity.
 
     The assignment violates monotonicity iff some point assigned 0 weakly
     dominates a point assigned 1.
     """
-    pred = np.asarray(predictions, dtype=np.int8)
-    if pred.shape != (points.n,):
-        raise ValueError(f"expected {points.n} predictions, got {pred.shape}")
-    if points.n == 0:
-        return True
-    weak = points.weak_dominance_matrix()
-    zeros = pred == 0
-    ones = pred == 1
-    return not bool(np.any(weak[np.ix_(zeros, ones)]))
+    return blocked_is_monotone_assignment(points, predictions)
 
 
 def monotone_extension(points: PointSet, predictions: Sequence[int]) -> UpsetClassifier:

@@ -168,9 +168,7 @@ def staircase(n: int, steps: int, noise: float = 0.0,
         0.1 + 0.8 * ks / max(1, steps - 1) if steps > 1 else np.array([0.5]),
         0.9 - 0.8 * ks / max(1, steps - 1) if steps > 1 else np.array([0.5]),
     ], axis=1)
-    above = np.any(
-        np.all(coords[:, None, :] >= anchors[None, :, :], axis=2), axis=1)
-    labels = above.astype(np.int8)
+    labels = UpsetClassifier(anchors).classify_matrix(coords)
     flips = gen.random(n) < noise
     labels = np.where(flips, 1 - labels, labels).astype(np.int8)
     return PointSet(coords, labels)

@@ -111,6 +111,22 @@ class TestWidthControlled:
 
 
 class TestStaircase:
+    def test_labels_are_upset_of_anchors(self):
+        """Labels come from the anchor index; pinned to the dense broadcast's."""
+        import hashlib
+
+        from repro.datasets import staircase
+
+        ps = staircase(2_000, steps=9, noise=0.0, rng=11)
+        ks = np.arange(9) / 8
+        anchors = np.column_stack([0.1 + 0.8 * ks, 0.9 - 0.8 * ks])
+        dense = np.any(np.all(ps.coords[:, None, :] >= anchors[None], axis=2),
+                       axis=1).astype(np.int8)
+        assert np.array_equal(ps.labels, dense)
+        noisy = staircase(500, steps=4, noise=0.1, rng=7)
+        assert hashlib.sha256(noisy.labels.tobytes()).hexdigest() == (
+            "8ce3a6d0210594cfafcb1393b89cc1d22a8d1b83498620989077c4a905402976")
+
     def test_zero_noise_is_monotone(self):
         from repro.datasets import staircase
 

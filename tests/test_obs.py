@@ -387,7 +387,7 @@ class TestPipelineIntegration:
 
 
 class TestSpanCoverage:
-    """Every stage of ``solve_passive`` runs inside a child span."""
+    """Every stage of the passive and active pipelines runs in a child span."""
 
     @pytest.mark.parametrize("dim", [3, 2])
     def test_passive_children_cover_parent(self, dim):
@@ -400,6 +400,18 @@ class TestSpanCoverage:
                     if path.rpartition("/")[0] == "passive"}
         assert "passive/classifier" in children
         assert sum(children.values()) >= 0.95 * spans["passive"]["total"]
+
+    @pytest.mark.parametrize("parent", ["active", "active/passive_solve"])
+    def test_active_children_cover_parent(self, parent):
+        points = width_controlled(4000, 4, noise=0.05, rng=3)
+        with metrics_session() as reg:
+            active_classify(points.with_hidden_labels(), LabelOracle(points),
+                            epsilon=1.0, rng=3)
+        spans = reg.snapshot()["spans"]
+        children = {path: hist["total"] for path, hist in spans.items()
+                    if path.rpartition("/")[0] == parent}
+        assert children
+        assert sum(children.values()) >= 0.95 * spans[parent]["total"]
 
 
 class TestDeterminism:
